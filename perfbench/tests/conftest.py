@@ -1,0 +1,9 @@
+"""The benchmark's modules import each other by bare name (they run as
+scripts from ``perfbench/``) and import the program from ``src``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
