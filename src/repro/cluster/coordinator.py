@@ -13,7 +13,7 @@ exactly as on a single node; only execution touches shards:
   engines — see ``Executor._select_input`` and
   ``VectorizedExecutor._scan``);
 * decomposable scalar aggregates scatter to every node and gather
-  merged partials (:meth:`run_plan`);
+  merged partials (:meth:`_execute_plan`);
 * everything else reads the facade's merged row-id-ordered view, which
   is byte-identical to a single node's iteration order.
 
@@ -40,9 +40,8 @@ from repro.errors import (
     TransientFault,
 )
 from repro.algebra import ops
-from repro.authviews.session import SessionContext
 from repro.db import Database, Result
-from repro.engine import ENGINES, Evaluator, RowResolver
+from repro.engine import Evaluator, RowResolver
 from repro.instrument import COUNTERS
 from repro.service.clock import Clock
 from repro.storage.table import Table
@@ -592,39 +591,16 @@ class ClusterCoordinator(Database):
 
     # -- scatter-gather execution -----------------------------------------
 
-    def run_plan(
-        self,
-        plan: ops.Operator,
-        session: Optional[SessionContext] = None,
-        access_params: Optional[Mapping[str, object]] = None,
-        engine: Optional[str] = None,
-        ctx=None,
-        optimize: bool = True,
-        compile_cache=None,
+    def _execute_plan(
+        self, plan, session, access_params, engine, ctx, compile_cache
     ) -> Result:
-        session = session or SessionContext()
-        engine = engine or self.default_engine
-        if engine not in ENGINES:
-            raise ExecutionError(
-                f"unknown execution engine {engine!r} (expected one of {ENGINES})"
-            )
-        if optimize:
-            from repro.algebra.rewrite import push_selections
-
-            plan = push_selections(plan)
         scattered = self._scatter_aggregate(
             plan, session, access_params, engine, ctx, compile_cache
         )
         if scattered is not None:
             return scattered
-        return super().run_plan(
-            plan,
-            session,
-            access_params,
-            engine,
-            ctx,
-            optimize=False,
-            compile_cache=compile_cache,
+        return super()._execute_plan(
+            plan, session, access_params, engine, ctx, compile_cache
         )
 
     def _scatter_aggregate(

@@ -42,9 +42,6 @@ class ReadReplica:
     def __init__(self, name: str):
         self.name = name
         self.database = Database()
-        # replicas serve the hot read path; give them the §5.6 template
-        # cache the primary's gateway would use
-        self.database.prepared_enabled = True
         self.applied_lsn = 0
         self.policy_epoch = 0
         self.records_applied = 0
@@ -70,7 +67,6 @@ class ReadReplica:
         routed read never observes a half-restored replica.
         """
         db = Database()
-        db.prepared_enabled = True
         restore_state(db, state)
         with self._lock:
             self.database = db

@@ -37,7 +37,6 @@ from repro.errors import (
     ExecutionError,
     GrantError,
     IntegrityError,
-    QueryRejectedError,
     ReproError,
     UnknownTableError,
     UnsupportedFeatureError,
@@ -198,12 +197,11 @@ class Database:
         self.validity_cache = ValidityCache()
         self.checker_options: dict[str, object] = {}
         #: prepared-statement template cache (paper Section 5.6); always
-        #: populated lazily, but only consulted by execute_query when
-        #: ``prepared_enabled`` (or the per-call flag) says so
+        #: populated lazily, consulted by the gateway and by
+        #: ``execute_query(prepared=True)``
         from repro.prepared import PreparedStatementCache
 
         self.prepared = PreparedStatementCache(self)
-        self.prepared_enabled = False
         #: undo log for the active transaction (None = autocommit)
         self._txn_log: Optional[list[tuple]] = None
         #: ANALYZE snapshot for the optimizer's cost model
@@ -476,52 +474,42 @@ class Database:
         ctx=None,
         prepared: Optional[bool] = None,
     ) -> Result:
-        """Run a query under the given access-control mode.
+        """Run a query under the given access-control mode through the
+        staged pipeline (:mod:`repro.pipeline`).
 
-        ``prepared`` opts in to (or out of) the prepared-statement
-        pipeline (:mod:`repro.prepared`) for this call; ``None`` defers
-        to :attr:`prepared_enabled`.  Queries the pipeline cannot serve
-        identically fall back to the standard path transparently.
+        ``prepared=True`` serves it from a prepared template (paper
+        §5.6) with the template's own decision cache; queries a template
+        cannot serve identically fall back to a fresh parse → check →
+        plan transparently.  Errors propagate: an invalid Non-Truman
+        query raises :class:`~repro.errors.QueryRejectedError` carrying
+        its decision.
         """
-        use_prepared = self.prepared_enabled if prepared is None else prepared
-        if use_prepared and not access_params:
-            from repro.prepared import PREPARABLE_MODES, PreparedFallback
-            from repro.prepared.pipeline import execute_prepared
+        from repro.pipeline import (
+            PREPARABLE_MODES,
+            TEMPLATE_DECISIONS,
+            QueryRun,
+            resolve,
+            run_query,
+        )
 
-            if mode in PREPARABLE_MODES:
-                try:
-                    return execute_prepared(
-                        self, sql, session or SessionContext(), mode,
-                        engine=engine, ctx=ctx,
-                    )
-                except PreparedFallback:
-                    pass
-
-        query = parse_statement(sql) if isinstance(sql, str) else sql
-        if not isinstance(query, ast.QueryExpr):
+        preparable = (
+            bool(prepared) and not access_params and mode in PREPARABLE_MODES
+        )
+        statement, resolved = resolve(self, sql, preparable)
+        if statement is not None and not isinstance(statement, ast.QueryExpr):
             raise BindError("execute_query requires a SELECT statement")
-        session = session or SessionContext()
-
-        if mode == "open":
-            return self._run(query, session, access_params, engine, ctx)
-        if mode == "truman":
-            from repro.truman.rewrite import truman_rewrite
-
-            modified = truman_rewrite(self, query, session)
-            return self._run(modified, session, access_params, engine, ctx)
-        if mode == "motro":
-            from repro.motro.model import motro_query
-
-            return motro_query(self, query, session)
-        if mode == "non-truman":
-            decision = self.check_validity(query, session, ctx=ctx)
-            if not decision.valid:
-                raise QueryRejectedError(
-                    f"query rejected by Non-Truman model: {decision.reason}",
-                    decision=decision,
-                )
-            return self._run(query, session, access_params, engine, ctx)
-        raise AccessControlError(f"unknown access-control mode {mode!r}")
+        run = QueryRun(
+            self,
+            session or SessionContext(),
+            mode,
+            statement,
+            resolved,
+            decisions=TEMPLATE_DECISIONS,
+            engine=engine,
+            ctx=ctx,
+            access_params=access_params,
+        )
+        return run_query(run)
 
     def check_validity(
         self,
@@ -544,16 +532,28 @@ class Database:
         checker = ValidityChecker(self, **self.checker_options)
         return checker.check(query, session, ctx=ctx)
 
-    def _run(
-        self,
-        query: ast.QueryExpr,
-        session: SessionContext,
-        access_params: Optional[Mapping[str, object]] = None,
-        engine: Optional[str] = None,
-        ctx=None,
-    ) -> Result:
-        plan = self.plan_query(query, session, access_params)
-        return self.run_plan(plan, session, access_params, engine, ctx)
+    def _plan(
+        self, query: ast.QueryExpr, session: SessionContext, **options
+    ) -> ops.Operator:
+        """Translate ``query`` (authorization views filtered by the
+        session's grants) and push selections: the plan run_plan runs."""
+
+        def view_ok(view: ViewDef) -> bool:
+            if not view.authorization:
+                return True
+            return self.grants.is_granted(view.name, session.user)
+
+        translator = Translator(
+            self.catalog,
+            param_values=session.param_values(),
+            view_filter=view_ok,
+            **options,
+        )
+        from repro.algebra.rewrite import push_selections
+        from repro.instrument import COUNTERS
+
+        COUNTERS.bump("plan.build")
+        return push_selections(translator.translate(query))
 
     def plan_query(
         self,
@@ -561,48 +561,17 @@ class Database:
         session: SessionContext,
         access_params: Optional[Mapping[str, object]] = None,
     ) -> ops.Operator:
-        """Bind and translate a query to a logical plan."""
-
-        def view_ok(view: ViewDef) -> bool:
-            if not view.authorization:
-                return True
-            return self.grants.is_granted(view.name, session.user)
-
-        translator = Translator(
-            self.catalog,
-            param_values=session.param_values(),
-            access_param_values=access_params,
-            view_filter=view_ok,
-        )
-        from repro.algebra.rewrite import push_selections
-        from repro.instrument import COUNTERS
-
-        COUNTERS.bump("plan.build")
-        return push_selections(translator.translate(query))
+        """Bind and translate a query to a selection-pushed plan."""
+        return self._plan(query, session, access_param_values=access_params)
 
     def plan_template(
         self, query: ast.QueryExpr, session: SessionContext
     ) -> ops.Operator:
         """Plan a literal-stripped query *skeleton* (repro.prepared):
         like :meth:`plan_query` but ``$$_litN`` placeholders survive
-        translation so literals can be bound into the plan later."""
-
-        def view_ok(view: ViewDef) -> bool:
-            if not view.authorization:
-                return True
-            return self.grants.is_granted(view.name, session.user)
-
-        translator = Translator(
-            self.catalog,
-            param_values=session.param_values(),
-            view_filter=view_ok,
-            allow_access_params=True,
-        )
-        from repro.algebra.rewrite import push_selections
-        from repro.instrument import COUNTERS
-
-        COUNTERS.bump("plan.build")
-        return push_selections(translator.translate(query))
+        translation so literals can be bound into the plan later
+        (pushdown is structure-only, so it commutes with binding)."""
+        return self._plan(query, session, allow_access_params=True)
 
     def run_plan(
         self,
@@ -611,28 +580,29 @@ class Database:
         access_params: Optional[Mapping[str, object]] = None,
         engine: Optional[str] = None,
         ctx=None,
-        optimize: bool = True,
         compile_cache=None,
     ) -> Result:
-        """Execute a logical plan.
+        """Execute a logical plan as given (:meth:`plan_query` and
+        :meth:`plan_template` return selection-pushed plans).
 
-        ``optimize=False`` skips the per-execution selection pushdown —
-        the prepared pipeline passes pre-pushed plans (pushdown is
-        structure-only, so it commutes with literal binding).
         ``compile_cache`` lets the vectorized engine reuse compiled
         kernels across executions of the same template.
         """
         session = session or SessionContext()
-
         engine = engine or self.default_engine
         if engine not in ENGINES:
             raise ExecutionError(
                 f"unknown execution engine {engine!r} (expected one of {ENGINES})"
             )
-        if optimize:
-            from repro.algebra.rewrite import push_selections
+        return self._execute_plan(
+            plan, session, access_params, engine, ctx, compile_cache
+        )
 
-            plan = push_selections(plan)
+    def _execute_plan(
+        self, plan, session, access_params, engine, ctx, compile_cache
+    ) -> Result:
+        """Run a plan on a known engine; the cluster coordinator
+        overrides this to scatter aggregates across its shards."""
         executor = make_executor(
             engine,
             _QueryContext(self, session, access_params),

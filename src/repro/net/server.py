@@ -364,84 +364,24 @@ class ReproServer:
         return report()
 
     async def _handle_query(self, session: _Session, message: dict) -> None:
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "query frame needs an integer id"
-            )
+        request_id = await self._request_id(session, message, "query")
+        if request_id is None:
             return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
+        mode = await self._frame_mode(session, message, request_id)
+        if mode is None:
             return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol", "query frame needs a sql string"
-            )
-            return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
-            )
-            return
-        request = QueryRequest(
-            user=session.user,
-            sql=sql,
-            params=session.params,
-            mode=mode,
-            deadline=message.get("deadline"),
-            tag=message.get("tag"),
-            engine=message.get("engine"),
-            row_budget=message.get("row_budget"),
-            memory_budget=message.get("memory_budget"),
-        )
+        request = self._query_request(session, message, message["sql"], mode)
         await self._submit_request(session, request_id, request)
 
     async def _handle_explain(self, session: _Session, message: dict) -> None:
         """``explain``: validity check + decision trace, no execution."""
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "explain frame needs an integer id"
-            )
+        request_id = await self._request_id(session, message, "explain")
+        if request_id is None:
             return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
+        mode = await self._frame_mode(session, message, request_id)
+        if mode is None:
             return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol",
-                "explain frame needs a sql string",
-            )
-            return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
-            await self._try_send_error(
-                session,
-                request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
-            )
-            return
+        sql = message["sql"]
         from repro.rebac.trace import explain_query, render_report
 
         db = self.gateway.db
@@ -472,28 +412,10 @@ class ReproServer:
 
     async def _handle_prepare(self, session: _Session, message: dict) -> None:
         """``prepare``: parse + literal-strip once, answer a handle."""
-        request_id = message.get("id")
-        if not isinstance(request_id, int):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, None, "protocol", "prepare frame needs an integer id"
-            )
+        request_id = await self._request_id(session, message, "prepare")
+        if request_id is None:
             return
-        if not session.authenticated:
-            await self._try_send_error(
-                session,
-                request_id,
-                "auth",
-                "session is not authenticated; send a hello frame first",
-            )
-            return
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            self.metrics.counter("net_protocol_errors").inc()
-            await self._try_send_error(
-                session, request_id, "protocol", "prepare frame needs a sql string"
-            )
-            return
+        sql = message["sql"]
         try:
             skeleton, literals, signature_text = resolve_signature(
                 self.gateway.db, sql
@@ -562,18 +484,64 @@ class ReproServer:
                 "execute args must be scalar literals",
             )
             return
-        mode = message.get("mode") or session.mode
-        if mode not in MODES:
+        mode = await self._frame_mode(session, message, request_id)
+        if mode is None:
+            return
+        request = self._query_request(
+            session, message, signature_text, mode,
+            skeleton=skeleton, literals=literals,
+        )
+        self.metrics.counter("net_executes").inc()
+        await self._submit_request(session, request_id, request)
+
+    async def _request_id(
+        self, session: _Session, message: dict, kind: str
+    ) -> Optional[int]:
+        """The id of a well-formed ``kind`` frame with a sql string from
+        an authenticated session; None once the error is answered."""
+        request_id = message.get("id")
+        if not isinstance(request_id, int):
+            self.metrics.counter("net_protocol_errors").inc()
+            await self._try_send_error(
+                session, None, "protocol", f"{kind} frame needs an integer id"
+            )
+            return None
+        if not session.authenticated:
             await self._try_send_error(
                 session,
                 request_id,
-                "protocol",
-                f"unknown access-control mode {mode!r}",
+                "auth",
+                "session is not authenticated; send a hello frame first",
             )
-            return
-        request = QueryRequest(
+            return None
+        if not isinstance(message.get("sql"), str):
+            self.metrics.counter("net_protocol_errors").inc()
+            await self._try_send_error(
+                session, request_id, "protocol", f"{kind} frame needs a sql string"
+            )
+            return None
+        return request_id
+
+    async def _frame_mode(
+        self, session: _Session, message: dict, request_id: int
+    ) -> Optional[str]:
+        """The frame's access-control mode (default: the session's);
+        None once an unknown mode is answered."""
+        mode = message.get("mode") or session.mode
+        if mode in MODES:
+            return mode
+        await self._try_send_error(
+            session, request_id, "protocol", f"unknown access-control mode {mode!r}"
+        )
+        return None
+
+    @staticmethod
+    def _query_request(
+        session: _Session, message: dict, sql: str, mode: str, **prepared
+    ) -> QueryRequest:
+        return QueryRequest(
             user=session.user,
-            sql=signature_text,
+            sql=sql,
             params=session.params,
             mode=mode,
             deadline=message.get("deadline"),
@@ -581,11 +549,8 @@ class ReproServer:
             engine=message.get("engine"),
             row_budget=message.get("row_budget"),
             memory_budget=message.get("memory_budget"),
-            skeleton=skeleton,
-            literals=literals,
+            **prepared,
         )
-        self.metrics.counter("net_executes").inc()
-        await self._submit_request(session, request_id, request)
 
     async def _submit_request(
         self, session: _Session, request_id: int, request: QueryRequest

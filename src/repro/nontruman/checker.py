@@ -38,6 +38,7 @@ from repro.errors import (
 )
 from repro.sql import ast
 from repro.algebra import ops
+from repro.algebra.rewrite import push_selections
 from repro.algebra.translate import Translator
 from repro.authviews.session import SessionContext
 from repro.authviews.views import InstantiatedView
@@ -337,5 +338,5 @@ class ValidityChecker:
     def _run_probe(
         self, plan: ops.Operator, session: SessionContext, ctx=None
     ) -> bool:
-        result = self.db.run_plan(plan, session, ctx=ctx)
+        result = self.db.run_plan(push_selections(plan), session, ctx=ctx)
         return len(result.rows) > 0

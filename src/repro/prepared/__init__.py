@@ -14,7 +14,7 @@ from repro.prepared.cache import PreparedStatementCache
 from repro.prepared.pipeline import (
     PREPARABLE_MODES,
     decide_prepared,
-    execute_prepared,
+    decide_signed,
     get_or_build_template,
     resolve_signature,
 )
@@ -36,7 +36,7 @@ __all__ = [
     "PreparedTemplate",
     "bind_skeleton",
     "decide_prepared",
-    "execute_prepared",
+    "decide_signed",
     "get_or_build_template",
     "placeholder_names",
     "resolve_signature",

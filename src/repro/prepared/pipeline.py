@@ -1,20 +1,18 @@
-"""The prepared execution pipeline: signature → template → bind → run.
+"""The prepared plan source: signature → template → decision.
 
-Entry points used by :meth:`repro.db.Database.execute_query` and the
-enforcement gateway:
+Used by the staged query pipeline (:mod:`repro.pipeline`):
 
 * :func:`resolve_signature` — SQL text (or parsed query) to
   ``(skeleton, literals, signature_text)``, memoized per text.
 * :func:`get_or_build_template` — the template-cache lookup/build.
-* :func:`decide_prepared` — Non-Truman decision for a bound literal
-  tuple, served from the template's decision cache when the paper's
-  §5.6 carry-over rule applies.
-* :func:`execute_prepared` — the full Database-level pipeline.
+* :func:`decide_signed` — Non-Truman decision for a signed query through
+  a decision cache, served from it when the paper's §5.6 carry-over
+  rule applies; :func:`decide_prepared` uses the template's own cache.
 
-Anything the pipeline cannot serve **identically** to the fresh path
+Anything a template cannot serve **identically** to the fresh path
 raises :class:`~repro.prepared.template.PreparedFallback`, and the
-caller re-executes through the standard parse → check → plan route, so
-behavior (including error messages) is preserved bit-for-bit.
+pipeline plans from a fresh parse instead, so behavior (including error
+messages) is preserved bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.errors import (
     BindError,
     CatalogError,
     ParameterError,
-    QueryRejectedError,
     UnknownTableError,
     UnsupportedFeatureError,
 )
@@ -335,22 +332,27 @@ def _build_template(
 # ---------------------------------------------------------------------------
 
 
-def decide_prepared(
-    db, template: PreparedTemplate, skeleton, literals: tuple, session, ctx=None
-) -> ValidityDecision:
-    """Non-Truman decision for one bound literal tuple, consulting the
-    template's embedded decision cache first (§5.6 carry-over rule)."""
+def decide_signed(
+    db, cache, skeleton, literals: tuple, session, ctx=None, query=None
+) -> tuple:
+    """``(decision, from_cache)`` for a signed query through a decision
+    cache (the gateway's shared cache or a template's own, both applying
+    the §5.6 carry-over rule).  A miss checks ``query`` (bound from the
+    signature when not given) and stores the decision stamped with the
+    data version observed before the check."""
     data_version = db.validity_cache.data_version
-    cached = template.decisions.lookup_signed(
+    cached = cache.lookup_signed(
         session.user, skeleton, literals, session.user_id,
         data_version=data_version,
     )
     if cached is not None:
         validity, reason = cached
-        return ValidityDecision(validity=validity, reason=reason, from_cache=True)
-    bound = bind_skeleton(skeleton, literals)
-    decision = db.check_validity(bound, session, ctx=ctx)
-    template.decisions.store_signed(
+        decision = ValidityDecision(validity=validity, reason=reason, from_cache=True)
+        return decision, True
+    if query is None:
+        query = bind_skeleton(skeleton, literals)
+    decision = db.check_validity(query, session, ctx=ctx)
+    cache.store_signed(
         session.user,
         skeleton,
         literals,
@@ -359,38 +361,14 @@ def decide_prepared(
         decision.reason,
         data_version=data_version,
     )
-    return decision
+    return decision, False
 
 
-def execute_prepared(
-    db,
-    source: Union[str, ast.QueryExpr],
-    session,
-    mode: str,
-    engine: Optional[str] = None,
-    ctx=None,
-):
-    """Full Database-level prepared execution; raises
-    :class:`PreparedFallback` when the standard path must be used."""
-    if mode not in PREPARABLE_MODES:
-        raise PreparedFallback(f"mode {mode!r} is not preparable")
-    skeleton, literals, signature_text = resolve_signature(db, source)
-    template, _hit = get_or_build_template(
-        db, skeleton, literals, session, mode, signature_text
-    )
-    if mode == "non-truman":
-        decision = decide_prepared(db, template, skeleton, literals, session, ctx)
-        if not decision.valid:
-            raise QueryRejectedError(
-                f"query rejected by Non-Truman model: {decision.reason}",
-                decision=decision,
-            )
-    plan = template.binder.bind(literals)
-    return db.run_plan(
-        plan,
-        session=session,
-        engine=engine,
-        ctx=ctx,
-        optimize=False,
-        compile_cache=template.compile_cache,
-    )
+def decide_prepared(
+    db, template: PreparedTemplate, skeleton, literals: tuple, session, ctx=None
+) -> ValidityDecision:
+    """Non-Truman decision for one bound literal tuple, consulting the
+    template's embedded decision cache first."""
+    return decide_signed(
+        db, template.decisions, skeleton, literals, session, ctx
+    )[0]

@@ -87,11 +87,7 @@ class SharedValidityCache:
     def lookup(
         self, user: Optional[str], query: ast.QueryExpr, user_value: object
     ) -> Optional[tuple[Validity, str]]:
-        data_version, _ = self.current_versions()
-        skeleton, literals = query_signature(query)
-        return self._shard(user, skeleton).lookup_signed(
-            user, skeleton, literals, user_value, data_version=data_version
-        )
+        return self.lookup_signed(user, *query_signature(query), user_value)
 
     def store(
         self,
@@ -108,16 +104,8 @@ class SharedValidityCache:
         that a concurrent DML commit mid-check leaves the entry stale
         (and therefore unservable) instead of wrong.
         """
-        if data_version is None:
-            data_version, _ = self.current_versions()
-        skeleton, literals = query_signature(query)
-        self._shard(user, skeleton).store_signed(
-            user,
-            skeleton,
-            literals,
-            user_value,
-            validity,
-            reason,
+        self.store_signed(
+            user, *query_signature(query), user_value, validity, reason,
             data_version=data_version,
         )
 
@@ -135,10 +123,12 @@ class SharedValidityCache:
 
         Shards by the same ``(user, skeleton)`` key as :meth:`lookup`,
         so prepared and legacy requests for the same query share one
-        decision entry.
+        decision entry.  Synchronizes the policy epoch even when the
+        caller passes the ``data_version`` it observed.
         """
+        current, _ = self.current_versions()
         if data_version is None:
-            data_version, _ = self.current_versions()
+            data_version = current
         return self._shard(user, skeleton).lookup_signed(
             user, skeleton, literals, user_value, data_version=data_version
         )

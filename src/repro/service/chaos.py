@@ -5,12 +5,14 @@ Builds on the durability layer's crash-point machinery
 :class:`~repro.durability.faults.FaultInjector` (so it can be handed to
 ``Database.open(injector=...)`` and fire the WAL crash points), and
 additionally supports **recoverable**, probabilistic faults at named
-points the gateway fires while serving:
+points the gateway fires while serving (the query points from the
+stage-boundary hook it passes to :func:`repro.pipeline.run_query`):
 
 ================================  =====================================
 ``gateway.dequeue``               a worker picked the request up
-``gateway.before_check``          before the validity check / rewrite
-``gateway.before_execute``        before query execution
+``gateway.before_check``          before the validity check / rewrite,
+                                  on the primary and on replica reads
+``gateway.before_execute``        before query planning and execution
 ``gateway.before_commit``         before the durable group commit
 ``prepared.hit``                  a prepared template was served from
                                   cache (after staleness validation)

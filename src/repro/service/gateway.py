@@ -76,16 +76,15 @@ from repro.errors import (
     TransientFault,
     UpdateRejectedError,
 )
-from repro.sql import ast, parse_statement, render
-from repro.nontruman.cache import query_signature
-from repro.nontruman.decision import ValidityDecision
-from repro.prepared import (
+from repro.sql import ast
+from repro.pipeline import (
     PREPARABLE_MODES,
-    PreparedFallback,
-    bind_skeleton,
-    get_or_build_template,
-    resolve_signature,
+    QueryRun,
+    audit_signature,
+    resolve,
+    run_query,
 )
+from repro.prepared import bind_skeleton
 from repro.service.audit import AuditLog
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import SharedValidityCache
@@ -206,6 +205,19 @@ class PendingQuery:
 
 
 _SENTINEL = object()
+
+
+def _status_of(error: Optional[ReproError]) -> RequestStatus:
+    """The gateway's one mapping of a typed error to a response status."""
+    if error is None:
+        return RequestStatus.OK
+    if isinstance(error, (QueryRejectedError, UpdateRejectedError)):
+        return RequestStatus.REJECTED
+    if isinstance(error, QueryTimeout):
+        return RequestStatus.TIMEOUT
+    if isinstance(error, QueryCancelled):
+        return RequestStatus.CANCELLED
+    return RequestStatus.ERROR
 
 
 class EnforcementGateway:
@@ -493,15 +505,10 @@ class EnforcementGateway:
             try:
                 response = self._process(request, submitted_at, pending.ctx)
             except BaseException as exc:  # never let a worker die
-                self.metrics.counter("worker_faults").inc()
-                response = QueryResponse(
-                    request=request,
-                    status=RequestStatus.ERROR,
-                    error=f"internal gateway error: {exc}",
-                )
-                # _process accounts in its finish(); a fault that
-                # escaped it has not been audited yet — audit exactly
-                # once here so no request ever goes missing
+                response = self._internal_error(request, exc)
+                # _process accounts for every response it builds; a
+                # fault that escaped it has not been audited yet — audit
+                # exactly once here so no request ever goes missing
                 if not getattr(response, "_accounted", False):
                     response.timing.total_s = time.perf_counter() - submitted_at
                     self._account(response)
@@ -510,157 +517,89 @@ class EnforcementGateway:
                 self._queue.task_done()
             pending._resolve(response)
 
+    def _internal_error(
+        self, request: QueryRequest, exc: BaseException
+    ) -> QueryResponse:
+        """A fault in gateway code answers a typed error, never a hang."""
+        self.metrics.counter("worker_faults").inc()
+        return QueryResponse(
+            request=request,
+            status=RequestStatus.ERROR,
+            error=f"internal gateway error: {exc}",
+        )
+
     # -- request processing ----------------------------------------------
 
     def _process(
         self, request: QueryRequest, submitted_at: float, ctx: QueryContext
     ) -> QueryResponse:
-        timing = Timing()
-        start = time.perf_counter()
-        timing.queue_s = start - submitted_at
-        worker = threading.current_thread().name
-
-        def finish(response: QueryResponse) -> QueryResponse:
-            timing.total_s = time.perf_counter() - submitted_at
-            response.timing = timing
-            response.worker = worker
-            self._account(response)
-            return response
-
+        timing = Timing(queue_s=time.perf_counter() - submitted_at)
         self._fire_chaos("gateway.dequeue")
-
         if ctx.cancelled:
-            return finish(
-                QueryResponse(
-                    request=request,
-                    status=RequestStatus.CANCELLED,
-                    error="cancelled while queued",
-                )
+            response = QueryResponse(
+                request=request,
+                status=RequestStatus.CANCELLED,
+                error="cancelled while queued",
             )
-        if ctx.expired:
-            return finish(
-                QueryResponse(
-                    request=request,
-                    status=RequestStatus.TIMEOUT,
-                    error=(
-                        f"deadline of {ctx.deadline_s:.3f}s exceeded "
-                        "while queued"
-                    ),
-                )
+        elif ctx.expired:
+            response = QueryResponse(
+                request=request,
+                status=RequestStatus.TIMEOUT,
+                error=(
+                    f"deadline of {ctx.deadline_s:.3f}s exceeded "
+                    "while queued"
+                ),
             )
+        else:
+            response = self._serve(request, timing, ctx)
+        timing.total_s = time.perf_counter() - submitted_at
+        response.timing = timing
+        response.worker = threading.current_thread().name
+        self._account(response)
+        return response
 
-        # -- resolve / parse ---------------------------------------------
-        # Recover the literal-stripped signature without parsing when
-        # possible: from the request itself (an explicit PREPARE), or
-        # from the text tier (transparent templating of a repeated query
-        # string).  A cold text still parses exactly once — the parsed
-        # query is signed and remembered for next time.
-        parse_start = time.perf_counter()
-        resolved: Optional[tuple] = None
-        statement: Optional[ast.Statement] = None
+    def _serve(
+        self, request: QueryRequest, timing: Timing, ctx: QueryContext
+    ) -> QueryResponse:
+        """Resolve stage, then the statement path or the query pipeline;
+        the response carries the audit signature the resolve stage found.
+        """
+        start = time.perf_counter()
+        try:
+            statement, resolved = self._resolve(request)
+        except ReproError as exc:
+            return QueryResponse(
+                request=request, status=RequestStatus.ERROR, error=str(exc)
+            )
+        finally:
+            timing.parse_s = time.perf_counter() - start
+        try:
+            if statement is None or isinstance(statement, ast.QueryExpr):
+                response = self._serve_query(
+                    request, statement, resolved, timing, ctx
+                )
+            else:
+                response = self._process_statement(request, statement, timing)
+        except Exception as exc:
+            response = self._internal_error(request, exc)
+        response.signature = audit_signature(statement, resolved, request.sql)
+        return response
+
+    def _resolve(self, request: QueryRequest) -> tuple:
+        """Resolve stage: ``(statement, resolved)`` for the request (see
+        :func:`repro.pipeline.resolve`).  A PREPARE'd request carries its
+        signature and skips the parser."""
         preparable = (
             self.prepared_statements and request.mode in PREPARABLE_MODES
         )
-        if request.skeleton is not None:
-            literals = tuple(request.literals or ())
-            if preparable:
-                resolved = (request.skeleton, literals, request.sql)
-            else:
-                # PREPARE'd under a non-preparable mode: rebind the
-                # literals and run it as a plain query
-                statement = bind_skeleton(request.skeleton, literals)
-        elif preparable:
-            resolved = self.db.prepared.lookup_text(request.sql)
-        if resolved is None and statement is None:
-            try:
-                statement = parse_statement(request.sql)
-            except ReproError as exc:
-                timing.parse_s = time.perf_counter() - parse_start
-                return finish(
-                    QueryResponse(
-                        request=request, status=RequestStatus.ERROR, error=str(exc)
-                    )
-                )
-            if preparable and isinstance(statement, ast.QueryExpr):
-                try:
-                    resolved = resolve_signature(self.db, statement)
-                    self.db.prepared.remember_text(request.sql, *resolved)
-                except PreparedFallback:
-                    resolved = None
-        timing.parse_s = time.perf_counter() - parse_start
-
-        if statement is not None and not isinstance(statement, ast.QueryExpr):
-            return finish(self._process_statement(request, statement, timing))
-        return finish(
-            self._process_query_with_retries(
-                request, statement, timing, ctx, resolved
-            )
-        )
-
-    # -- query path: retries + abort mapping ------------------------------
-
-    def _process_query_with_retries(
-        self,
-        request: QueryRequest,
-        query: Optional[ast.QueryExpr],
-        timing: Timing,
-        ctx: QueryContext,
-        resolved: Optional[tuple] = None,
-    ) -> QueryResponse:
-        attempts = 0
-        while True:
-            try:
-                response = self._process_query(
-                    request, query, timing, ctx, resolved
-                )
-                break
-            except TransientFault as exc:
-                self.metrics.counter("retries_total").inc()
-                if attempts >= self.retry_attempts or ctx.cancelled or ctx.expired:
-                    response = QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=(
-                            f"transient fault persisted after {attempts} "
-                            f"retr{'y' if attempts == 1 else 'ies'}: {exc}"
-                        ),
-                    )
-                    break
-                attempts += 1
-                # jittered exponential backoff, clamped to the deadline
-                delay = (
-                    self.retry_backoff
-                    * (2 ** (attempts - 1))
-                    * (0.5 + self._rng.random())
-                )
-                remaining = ctx.remaining()
-                if remaining is not None:
-                    delay = min(delay, remaining)
-                if delay > 0:
-                    time.sleep(delay)
-            except QueryTimeout as exc:
-                response = QueryResponse(
-                    request=request, status=RequestStatus.TIMEOUT, error=str(exc)
-                )
-                break
-            except QueryCancelled as exc:
-                self.metrics.counter("requests_cancelled_inflight").inc()
-                response = QueryResponse(
-                    request=request,
-                    status=RequestStatus.CANCELLED,
-                    error=str(exc),
-                )
-                break
-            except ResourceBudgetExceeded as exc:
-                self.metrics.counter("requests_budget_exceeded").inc()
-                response = QueryResponse(
-                    request=request, status=RequestStatus.ERROR, error=str(exc)
-                )
-                break
-        if attempts:
-            self.metrics.counter("requests_retried").inc()
-        response.retries = attempts
-        return response
+        if request.skeleton is None:
+            return resolve(self.db, request.sql, preparable)
+        literals = tuple(request.literals or ())
+        if preparable:
+            return None, (request.skeleton, literals, request.sql)
+        # PREPARE'd under a non-preparable mode: rebind the literals and
+        # run it as a plain query
+        return bind_skeleton(request.skeleton, literals), None
 
     # -- statement (DML/DDL) path -----------------------------------------
 
@@ -705,13 +644,9 @@ class EnforcementGateway:
                     request.user, request.mode, request.params
                 ) as conn:
                     outcome = conn.execute(statement, sync=False)
-            except (QueryRejectedError, UpdateRejectedError) as exc:
-                failure = QueryResponse(
-                    request=request, status=RequestStatus.REJECTED, error=str(exc)
-                )
             except ReproError as exc:
                 failure = QueryResponse(
-                    request=request, status=RequestStatus.ERROR, error=str(exc)
+                    request=request, status=_status_of(exc), error=str(exc)
                 )
             finally:
                 self._rwlock.release_write()
@@ -753,71 +688,135 @@ class EnforcementGateway:
             rowcount=outcome if isinstance(outcome, int) else None,
         )
 
-    # -- query path -------------------------------------------------------
+    # -- query path: one pipeline, one error mapping ---------------------
 
-    def _process_query(
+    def _serve_query(
         self,
         request: QueryRequest,
-        query: Optional[ast.QueryExpr],
+        statement: Optional[ast.QueryExpr],
+        resolved: Optional[tuple],
         timing: Timing,
         ctx: QueryContext,
-        resolved: Optional[tuple] = None,
     ) -> QueryResponse:
-        """Serve one query request under the read lock.
+        """Run the query pipeline (:mod:`repro.pipeline`), retrying
+        transient faults with jittered exponential backoff bounded by
+        the deadline, and map the outcome to a response."""
+        attempts = 0
+        while True:
+            run = QueryRun(
+                None, None, request.mode, statement, resolved,
+                engine=request.engine, ctx=ctx,
+            )
+            error = self._attempt(request, run, timing)
+            if not isinstance(error, TransientFault):
+                break
+            self.metrics.counter("retries_total").inc()
+            if attempts >= self.retry_attempts or ctx.cancelled or ctx.expired:
+                break
+            attempts += 1
+            delay = (
+                self.retry_backoff
+                * (2 ** (attempts - 1))
+                * (0.5 + self._rng.random())
+            )
+            remaining = ctx.remaining()
+            if remaining is not None:
+                delay = min(delay, remaining)
+            if delay > 0:
+                time.sleep(delay)
+        if attempts:
+            self.metrics.counter("requests_retried").inc()
+        return self._respond(request, run, error, attempts)
 
-        ``query`` is the parsed AST (None on a hot prepared hit that
-        skipped the parser); ``resolved`` is the literal-stripped
-        ``(skeleton, literals, signature_text)`` triple when the request
-        is eligible for the prepared-template path.  Anything the
-        template path cannot serve identically falls back to the fresh
-        parse → check → plan route.
-        """
+    def _respond(
+        self,
+        request: QueryRequest,
+        run: QueryRun,
+        error: Optional[ReproError],
+        attempts: int,
+    ) -> QueryResponse:
+        """Build the response for a pipeline outcome.  An aborted or
+        persistently faulting request reports no decision: it never
+        completed one."""
+        response = QueryResponse(
+            request=request,
+            status=_status_of(error),
+            result=run.result,
+            error=None if error is None else str(error),
+            retries=attempts,
+            prepared=run.template is not None,
+            replica=run.replica,
+        )
+        if isinstance(error, TransientFault):
+            response.error = (
+                f"transient fault persisted after {attempts} "
+                f"retr{'y' if attempts == 1 else 'ies'}: {error}"
+            )
+        elif isinstance(error, QueryCancelled):
+            self.metrics.counter("requests_cancelled_inflight").inc()
+        elif isinstance(error, ResourceBudgetExceeded):
+            self.metrics.counter("requests_budget_exceeded").inc()
+        elif not isinstance(error, QueryAborted):
+            response.decision, response.cache_hit = run.decision, run.cache_hit
+            if run.template is not None:
+                self.metrics.counter("prepared_requests").inc()
+        return response
+
+    def _attempt(
+        self, request: QueryRequest, run: QueryRun, timing: Timing
+    ) -> Optional[ReproError]:
+        """One pass of ``run`` through the pipeline under the read lock,
+        on a routed replica or on the primary (with the shared decision
+        cache); returns the typed error it raised, if any."""
         self._rwlock.acquire_read()
         try:
             with self.pool.checkout(
                 request.user, request.mode, request.params
             ) as conn:
-                session = conn.session
+                run.session = conn.session
                 replica = self._route_replica(request)
-                if replica is not None:
-                    if query is None and resolved is not None:
-                        skeleton, literals, _ = resolved
-                        query = bind_skeleton(skeleton, literals)
-                    try:
-                        response = self._process_query_replica(
-                            request, query, replica, session, timing, ctx
-                        )
-                    except ReplicaUnavailable:
-                        # the replica was quarantined (or fell behind the
-                        # epoch/lag gate) between routing and execution;
-                        # fall through to the primary path below — a
-                        # correct answer, just not replica-served
-                        self.metrics.counter("replica_fallbacks").inc()
-                    else:
-                        if resolved is not None:
-                            response.signature = resolved[2]
-                        return response
-                if resolved is not None:
-                    try:
-                        response = self._process_prepared(
-                            request, resolved, session, timing, ctx
-                        )
-                        response.signature = resolved[2]
-                        self.metrics.counter("prepared_requests").inc()
-                        return response
-                    except PreparedFallback:
-                        self.metrics.counter("prepared_fallbacks").inc()
-                        if query is None:
-                            skeleton, literals, _ = resolved
-                            query = bind_skeleton(skeleton, literals)
-                response = self._process_query_fresh(
-                    request, query, session, timing, ctx
-                )
-                if resolved is not None and response.signature is None:
-                    response.signature = resolved[2]
-                return response
+                if replica is None or not self._run_on_replica(
+                    run, replica, timing
+                ):
+                    run.db, run.decisions = self.db, self.cache
+                    self._run(run, timing)
+        except ReproError as exc:
+            return exc
         finally:
             self._rwlock.release_read()
+        return None
+
+    def _run(self, run: QueryRun, timing: Timing) -> None:
+        """Run the pipeline with the gateway's stage-boundary hook, which
+        fills ``timing`` and fires the serving-path chaos points."""
+        started = time.perf_counter()
+        executing: Optional[float] = None
+
+        def hook(stage: str, run: QueryRun) -> None:
+            nonlocal executing
+            if stage == "decide":
+                if run.fallback:
+                    self.metrics.counter("prepared_fallbacks").inc()
+                self._fire_chaos("gateway.before_check")
+                if run.template_hit:
+                    self._fire_chaos("prepared.hit")
+                return
+            # "plan": the decision is taken; plan/bind and execute follow
+            executing = time.perf_counter()
+            timing.check_s = executing - started
+            # don't start executing an answer nobody is waiting for
+            run.ctx.check("phase boundary before execution")
+            self._fire_chaos("gateway.before_execute")
+            if run.template is not None:
+                self._fire_chaos("prepared.bind")
+
+        try:
+            run_query(run, hook)
+        finally:
+            if executing is None:
+                timing.check_s = time.perf_counter() - started
+            else:
+                timing.execute_s = time.perf_counter() - executing
 
     def _route_replica(self, request: QueryRequest):
         """A caught-up read replica for this request, or None for primary.
@@ -837,353 +836,33 @@ class EnforcementGateway:
             return None
         return route()
 
-    def _process_query_replica(
-        self,
-        request: QueryRequest,
-        query: ast.QueryExpr,
-        replica,
-        session,
-        timing: Timing,
-        ctx: QueryContext,
-    ) -> QueryResponse:
-        """Serve one read on a replica's own Database.
+    def _run_on_replica(self, run: QueryRun, replica, timing: Timing) -> bool:
+        """Run on a routed replica's own Database; False (the caller
+        falls back to the primary) when it stopped serving since routing.
 
         The replica enforces policy itself (its grants / Truman views /
-        VPD predicates are rebuilt from shipped WAL records), so the
-        outcome — rows, rejection message, audit decision — is the same
-        as the primary's; only the serving node differs.  Applies and
-        reads are mutually exclusive via the replica's lock, so a read
-        can never observe a half-applied shipped batch.
+        VPD predicates are rebuilt from shipped WAL records), checking
+        validity fresh with no decision cache, so the outcome — rows,
+        rejection message, audit decision — is the primary's; only the
+        serving node differs.  Applies and reads are mutually exclusive
+        via the replica's lock, so a read never observes a half-applied
+        shipped batch.
         """
-        decision: Optional[ValidityDecision] = None
-        check_start = time.perf_counter()
         with replica.read_lock():
             # the queue hop between routing and this lock is a window the
-            # failure detector may have used to quarantine the replica;
-            # re-check under the lock (raises ReplicaUnavailable → the
-            # caller falls back to the primary, never a stale answer).
+            # failure detector may have used to quarantine the replica:
+            # re-check under the lock — a fallback, never a stale answer.
             # The database handle is also read under the lock: catch-up
             # bootstrap swaps it wholesale.
-            verify = getattr(self.db, "verify_replica_serving", None)
-            if verify is not None:
-                verify(replica)
-            rdb = replica.database
+            try:
+                self.db.verify_replica_serving(replica)
+            except ReplicaUnavailable:
+                self.metrics.counter("replica_fallbacks").inc()
+                return False
             self.metrics.counter("replica_reads").inc()
-            if request.mode == "non-truman":
-                try:
-                    decision = rdb.check_validity(query, session, ctx=ctx)
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        replica=replica.name,
-                    )
-                timing.check_s = time.perf_counter() - check_start
-                if not decision.valid:
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.REJECTED,
-                        decision=decision,
-                        error=(
-                            "query rejected by Non-Truman model: "
-                            f"{decision.reason}"
-                        ),
-                        replica=replica.name,
-                    )
-                to_execute, execute_mode = query, "open"
-            elif request.mode == "truman":
-                from repro.truman.rewrite import truman_rewrite
-
-                try:
-                    to_execute = truman_rewrite(rdb, query, session)
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        replica=replica.name,
-                    )
-                timing.check_s = time.perf_counter() - check_start
-                execute_mode = "open"
-            else:
-                to_execute, execute_mode = query, request.mode
-                timing.check_s = time.perf_counter() - check_start
-
-            ctx.check("phase boundary before execution")
-            self._fire_chaos("gateway.before_execute")
-            execute_start = time.perf_counter()
-            try:
-                result = rdb.execute_query(
-                    to_execute,
-                    session=session,
-                    mode=execute_mode,
-                    engine=request.engine,
-                    ctx=ctx,
-                )
-            except QueryAborted:
-                timing.execute_s = time.perf_counter() - execute_start
-                raise
-            except ReproError as exc:
-                timing.execute_s = time.perf_counter() - execute_start
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.ERROR,
-                    decision=decision,
-                    error=str(exc),
-                    replica=replica.name,
-                )
-            timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            replica=replica.name,
-        )
-
-    def _process_prepared(
-        self,
-        request: QueryRequest,
-        resolved: tuple,
-        session,
-        timing: Timing,
-        ctx: QueryContext,
-    ) -> QueryResponse:
-        """The §5.6 template path: signature → template → bind → run.
-
-        Raises :class:`PreparedFallback` (before any user-visible
-        effect) when the query cannot be templated; the caller re-runs
-        the fresh path, so behavior — including error messages — is
-        preserved bit-for-bit.
-        """
-        skeleton, literals, signature_text = resolved
-        check_start = time.perf_counter()
-        template, hit = get_or_build_template(
-            self.db, skeleton, literals, session, request.mode, signature_text
-        )
-        self._fire_chaos("gateway.before_check")
-        if hit:
-            self._fire_chaos("prepared.hit")
-        decision: Optional[ValidityDecision] = None
-        cache_hit = False
-        if request.mode == "non-truman":
-            # same shared cache (and the same signature keys) as the
-            # fresh path, so prepared and plain requests for one query
-            # share a single decision entry
-            data_version, _ = self.cache.current_versions()
-            cached = self.cache.lookup_signed(
-                session.user,
-                skeleton,
-                literals,
-                session.user_id,
-                data_version=data_version,
-            )
-            if cached is not None:
-                validity, reason = cached
-                decision = ValidityDecision(
-                    validity=validity, reason=reason, from_cache=True
-                )
-                cache_hit = True
-            else:
-                bound = bind_skeleton(skeleton, literals)
-                try:
-                    decision = self.db.check_validity(bound, session, ctx=ctx)
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise  # unwound with nothing cached
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                        prepared=True,
-                    )
-                self.cache.store_signed(
-                    session.user,
-                    skeleton,
-                    literals,
-                    session.user_id,
-                    decision.validity,
-                    decision.reason,
-                    data_version=data_version,
-                )
-            timing.check_s = time.perf_counter() - check_start
-            if not decision.valid:
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.REJECTED,
-                    decision=decision,
-                    cache_hit=cache_hit,
-                    prepared=True,
-                    error=(
-                        "query rejected by Non-Truman model: "
-                        f"{decision.reason}"
-                    ),
-                )
-        else:
-            timing.check_s = time.perf_counter() - check_start
-
-        # phase boundary: don't start executing an answer nobody is
-        # waiting for
-        ctx.check("phase boundary before execution")
-
-        self._fire_chaos("gateway.before_execute")
-        self._fire_chaos("prepared.bind")
-        execute_start = time.perf_counter()
-        plan = template.binder.bind(literals)
-        try:
-            result = self.db.run_plan(
-                plan,
-                session=session,
-                engine=request.engine,
-                ctx=ctx,
-                optimize=False,
-                compile_cache=template.compile_cache,
-            )
-        except QueryAborted:
-            timing.execute_s = time.perf_counter() - execute_start
-            raise
-        except ReproError as exc:
-            timing.execute_s = time.perf_counter() - execute_start
-            return QueryResponse(
-                request=request,
-                status=RequestStatus.ERROR,
-                decision=decision,
-                cache_hit=cache_hit,
-                prepared=True,
-                error=str(exc),
-            )
-        timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            cache_hit=cache_hit,
-            prepared=True,
-        )
-
-    def _process_query_fresh(
-        self,
-        request: QueryRequest,
-        query: ast.QueryExpr,
-        session,
-        timing: Timing,
-        ctx: QueryContext,
-    ) -> QueryResponse:
-        decision: Optional[ValidityDecision] = None
-        cache_hit = False
-
-        self._fire_chaos("gateway.before_check")
-        check_start = time.perf_counter()
-        if request.mode == "non-truman":
-            # the version observed under the read lock is the
-            # version the decision is derived from
-            data_version, _ = self.cache.current_versions()
-            cached = self.cache.lookup(
-                session.user, query, session.user_id
-            )
-            if cached is not None:
-                validity, reason = cached
-                decision = ValidityDecision(
-                    validity=validity, reason=reason, from_cache=True
-                )
-                cache_hit = True
-            else:
-                try:
-                    decision = self.db.check_validity(
-                        query, session, ctx=ctx
-                    )
-                except QueryAborted:
-                    timing.check_s = time.perf_counter() - check_start
-                    raise  # unwound with nothing cached
-                except ReproError as exc:
-                    timing.check_s = time.perf_counter() - check_start
-                    return QueryResponse(
-                        request=request,
-                        status=RequestStatus.ERROR,
-                        error=str(exc),
-                    )
-                self.cache.store(
-                    session.user,
-                    query,
-                    session.user_id,
-                    decision.validity,
-                    decision.reason,
-                    data_version=data_version,
-                )
-            timing.check_s = time.perf_counter() - check_start
-            if not decision.valid:
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.REJECTED,
-                    decision=decision,
-                    cache_hit=cache_hit,
-                    error=(
-                        "query rejected by Non-Truman model: "
-                        f"{decision.reason}"
-                    ),
-                )
-            to_execute, execute_mode = query, "open"
-        elif request.mode == "truman":
-            from repro.truman.rewrite import truman_rewrite
-
-            try:
-                to_execute = truman_rewrite(self.db, query, session)
-            except ReproError as exc:
-                timing.check_s = time.perf_counter() - check_start
-                return QueryResponse(
-                    request=request,
-                    status=RequestStatus.ERROR,
-                    error=str(exc),
-                )
-            timing.check_s = time.perf_counter() - check_start
-            execute_mode = "open"
-        else:  # open / motro execute directly under that mode
-            to_execute, execute_mode = query, request.mode
-            timing.check_s = time.perf_counter() - check_start
-
-        # phase boundary: don't start executing an answer
-        # nobody is waiting for
-        ctx.check("phase boundary before execution")
-
-        self._fire_chaos("gateway.before_execute")
-        execute_start = time.perf_counter()
-        try:
-            result = self.db.execute_query(
-                to_execute,
-                session=session,
-                mode=execute_mode,
-                engine=request.engine,
-                ctx=ctx,
-            )
-        except QueryAborted:
-            timing.execute_s = time.perf_counter() - execute_start
-            raise
-        except ReproError as exc:
-            timing.execute_s = time.perf_counter() - execute_start
-            return QueryResponse(
-                request=request,
-                status=RequestStatus.ERROR,
-                decision=decision,
-                cache_hit=cache_hit,
-                error=str(exc),
-            )
-        timing.execute_s = time.perf_counter() - execute_start
-        return QueryResponse(
-            request=request,
-            status=RequestStatus.OK,
-            result=result,
-            decision=decision,
-            cache_hit=cache_hit,
-        )
+            run.db, run.replica = replica.database, replica.name
+            self._run(run, timing)
+        return True
 
     # -- accounting ------------------------------------------------------
 
@@ -1215,11 +894,11 @@ class EnforcementGateway:
         self.audit.record(
             user=request.user,
             mode=request.mode,
-            # the prepared path stamps the signature it already holds;
-            # re-deriving it here would re-parse on the zero-parse path
-            signature=response.signature
-            if response.signature is not None
-            else self._signature(request.sql),
+            # the resolve stage's signature; a request that never
+            # reached it is audited by its raw text
+            signature=request.sql
+            if response.signature is None
+            else response.signature,
             status=response.status.value,
             decision="" if decision is None else decision.validity.value,
             rules=()
@@ -1230,18 +909,6 @@ class EnforcementGateway:
             error=response.error,
             tag=request.tag,
         )
-
-    @staticmethod
-    def _signature(sql: str) -> str:
-        """Literal-stripped rendering of the request for the audit log."""
-        try:
-            statement = parse_statement(sql)
-            if isinstance(statement, ast.QueryExpr):
-                skeleton, _ = query_signature(statement)
-                return render(skeleton)
-        except ReproError:
-            pass
-        return sql
 
     # -- observability ---------------------------------------------------
 

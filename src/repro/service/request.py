@@ -71,12 +71,24 @@ class QueryRequest:
 
 @dataclass
 class Timing:
-    """Per-phase wall-clock breakdown of one request (seconds)."""
+    """Per-stage wall-clock breakdown of one request (seconds).
 
+    The gateway fills one field per stage of the request pipeline
+    (:mod:`repro.pipeline`); a retried query keeps its last attempt's
+    figures.
+    """
+
+    #: admission queue: submission to dequeue
     queue_s: float = 0.0
+    #: resolve: text-tier lookup, parse, literal-stripped signing
     parse_s: float = 0.0
+    #: decide: template lookup or build (the plan source), then the
+    #: validity decision (decision cache or check) or the Truman rewrite
     check_s: float = 0.0
+    #: plan/bind and execute (for DML/DDL: the statement under the
+    #: write lock)
     execute_s: float = 0.0
+    #: submission to the finished response
     total_s: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
@@ -111,8 +123,9 @@ class QueryResponse:
     #: True when the query ran through the prepared-template path
     #: (template hit or build) instead of the parse → check → plan path
     prepared: bool = False
-    #: literal-stripped audit signature, when the serving path already
-    #: knows it (prepared requests) — saves the audit re-parse
+    #: audit signature stamped by the resolve stage: the rendered
+    #: literal-stripped skeleton of a query, the raw text otherwise
+    #: (None until resolved: the audit then records the raw text)
     signature: Optional[str] = None
     #: name of the read replica that served this request (cluster
     #: deployments only; None = primary)

@@ -217,6 +217,73 @@ class TestGatewayDifferential:
             gw_single.shutdown()
             gw_cluster.shutdown()
 
+    def test_error_mapping_identical_on_every_target(self):
+        """A check-time failure, an execution failure and a rejection map
+        to the same status, error text, decision and audit record whether
+        the primary serves them (with or without prepared statements) or
+        a replica does; the replica names itself on every status."""
+        prepared_db, cluster = build_pair()
+        fresh_db = build_university(CONFIG)
+        for db in (prepared_db, fresh_db, cluster):
+            # a Truman mapping to a view that is then dropped: the
+            # rewrite (check time) fails on every node
+            db.execute("create view GradesShadow as select * from Grades")
+            db.set_truman_view("Grades", "GradesShadow")
+            db.execute("drop view GradesShadow")
+        cluster.sync_replicas()
+        user = student_ids(prepared_db)[0]
+        own = f"from Grades where student_id = '{user}'"
+        inputs = [
+            (f"select grade {own}", "non-truman", "ok"),
+            ("select * from Grades", "truman", "error"),
+            (f"select grade / 0 {own}", "non-truman", "error"),
+            ("select * from Grades", "non-truman", "rejected"),
+        ]
+        gateways = [
+            EnforcementGateway(prepared_db, workers=1, prepared_statements=True),
+            EnforcementGateway(fresh_db, workers=1, prepared_statements=False),
+            EnforcementGateway(cluster, workers=1),
+        ]
+        try:
+            for sql, mode, status in inputs:
+                responses = [
+                    gw.execute(QueryRequest(user=user, sql=sql, mode=mode))
+                    for gw in gateways
+                ]
+                outcomes = {
+                    (
+                        r.status.value,
+                        r.error,
+                        None
+                        if r.decision is None
+                        else (r.decision.validity, r.decision.reason),
+                    )
+                    for r in responses
+                }
+                assert len(outcomes) == 1, (sql, mode, outcomes)
+                assert responses[0].status.value == status, (sql, mode)
+                assert [r.replica for r in responses] == [
+                    None,
+                    None,
+                    cluster.replicas[0].name,
+                ], (sql, mode)
+                if mode == "truman":
+                    # failed before planning: nothing was executed
+                    assert all(r.timing.execute_s == 0 for r in responses)
+            audits = [
+                [
+                    (r.user, r.mode, r.signature, r.status, r.decision,
+                     r.rules, r.error)
+                    for r in gw.audit.tail(100)
+                ]
+                for gw in gateways
+            ]
+            assert audits[0] == audits[1] == audits[2]
+            assert len(audits[0]) == len(inputs)
+        finally:
+            for gw in gateways:
+                gw.shutdown()
+
     def test_writes_apply_once_and_ship(self):
         single, cluster = build_pair()
         gw_single = EnforcementGateway(single, workers=1)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.db import Database
 from repro.errors import QueryRejectedError, ServiceOverloaded, ServiceShutdown
+from repro.instrument import COUNTERS
 from repro.service import (
     EnforcementGateway,
     QueryRequest,
@@ -179,6 +180,36 @@ class TestDecisionsAndAudit:
         ):
             assert key in stats
         assert "latency_ms_p95" in gateway.render_stats() or "latency_ms" in gateway.render_stats()
+
+
+class TestParseOnce:
+    """The resolve stage parses a request at most once; its audit
+    signature comes from that parse, not from a second one."""
+
+    @pytest.mark.parametrize(
+        "sql, status",
+        [
+            ("insert into Students values ('77', 'Pat', 'FullTime')", "ok"),
+            ("selec grade frm Grades", "error"),
+        ],
+    )
+    def test_dml_and_malformed_requests_parse_once(self, gateway, sql, status):
+        before = COUNTERS.get("sql.parse")
+        response = gateway.execute(QueryRequest(user=None, sql=sql, mode="open"))
+        assert COUNTERS.get("sql.parse") - before == 1
+        assert response.status.value == status
+        record = gateway.audit.tail(1)[0]
+        assert record.signature == sql  # raw text: not a query
+
+    def test_query_signature_stripped_without_reparse(self, gateway):
+        request = QueryRequest(
+            user="11", sql="select grade from Grades where student_id = '11'"
+        )
+        gateway.execute(request)  # cold: parsed once, text remembered
+        before = COUNTERS.get("sql.parse")
+        assert gateway.execute(request).ok
+        assert COUNTERS.get("sql.parse") == before
+        assert "'11'" not in gateway.audit.tail(1)[0].signature
 
 
 class TestCacheInvalidation:

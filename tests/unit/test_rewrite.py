@@ -110,3 +110,18 @@ class TestPushdownSemantics:
             return executor.join_pairs_examined
 
         assert pairs(pushed) <= pairs(raw)
+
+
+class TestPushedOncePerPlan:
+    """plan_query returns a pushed plan and run_plan runs it as given."""
+
+    def test_fresh_query_pushes_once(self, db):
+        from repro.instrument import COUNTERS
+
+        before = COUNTERS.get("plan.push")
+        result = db.execute_query(
+            "select T.id from T, U where T.id = U.t_id and T.grp = 'b'",
+            prepared=False,
+        )
+        assert COUNTERS.get("plan.push") - before == 1
+        assert result.rows == [(3,)]
