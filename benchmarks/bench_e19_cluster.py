@@ -47,7 +47,7 @@ GRADES_PER = 10
 POINT_READS = 240
 
 
-def build_topology(shards):
+def build_topology(shards, index=False):
     db = ClusterCoordinator(
         shards=shards, partition_keys={"Grades": ("student_id",)}
     )
@@ -56,6 +56,8 @@ def build_topology(shards):
         "grade float)"
     )
     grades = db.table("Grades")
+    if index:
+        grades.create_index(("student_id",))
     for s in range(STUDENTS):
         for g in range(GRADES_PER):
             grades.insert((f"s{s}", f"CS{g}", round(1.0 + (g % 7) * 0.5, 1)))
@@ -64,7 +66,7 @@ def build_topology(shards):
 
 @pytest.fixture(scope="module")
 def topologies():
-    return build_topology(1), build_topology(4)
+    return build_topology(1), build_topology(4), build_topology(1, index=True)
 
 
 def point_reads(db, session):
@@ -82,16 +84,25 @@ def point_reads(db, session):
 def test_sharded_point_read_speedup(topologies):
     """The acceptance gate: partition pruning turns a point read into a
     1-of-4-shards scan, so the 4-shard coordinator clears ≥3x the
-    1-shard baseline on the same data — byte-identically."""
-    one, four = topologies
+    1-shard baseline on the same data — byte-identically.
+
+    The 1-shard baseline has no index, so the gate measures pruning
+    against a full scan.  The strongest single-node baseline, the same
+    rows on one node with an index on ``student_id``, is reported
+    beside it (``indexed_one_shard_ms``), not gated."""
+    one, four, indexed = topologies
     session = SessionContext()
     baseline = point_reads(one, session)
     sharded = point_reads(four, session)
     mismatches = sum(1 for a, b in zip(baseline, sharded) if a != b)
     assert mismatches == 0
+    assert point_reads(indexed, session) == baseline
 
     one_s, _ = time_callable(lambda: point_reads(one, session), repeat=3)
     four_s, _ = time_callable(lambda: point_reads(four, session), repeat=3)
+    indexed_s, _ = time_callable(
+        lambda: point_reads(indexed, session), repeat=3
+    )
     speedup = one_s / four_s
     EXPERIMENT.add(
         f"point reads, {STUDENTS * GRADES_PER} rows, {POINT_READS} queries",
@@ -99,10 +110,12 @@ def test_sharded_point_read_speedup(topologies):
         mismatches=mismatches,
         one_shard_ms=round(one_s * 1000, 2),
         four_shard_ms=round(four_s * 1000, 2),
+        indexed_one_shard_ms=round(indexed_s * 1000, 2),
         speedup=round(speedup, 1),
         floor=SPEEDUP_FLOOR,
         one_shard_qps=round(POINT_READS / one_s),
         four_shard_qps=round(POINT_READS / four_s),
+        indexed_one_shard_qps=round(POINT_READS / indexed_s),
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"4-shard speedup {speedup:.1f}x below the {SPEEDUP_FLOOR:.1f}x "

@@ -49,7 +49,7 @@ from repro.authviews.session import SessionContext
 from repro.authviews.views import AuthorizationView, InstantiatedView
 from repro.catalog.catalog import Catalog, ViewDef
 from repro.catalog.constraints import TotalParticipation
-from repro.engine import ENGINES, make_executor
+from repro.engine import ENGINES, access, make_executor
 from repro.engine.evaluator import Evaluator, RowResolver
 from repro.engine.executor import Executor
 from repro.storage.table import Table
@@ -88,6 +88,12 @@ class Result:
         return iter(self.rows)
 
 
+def _dml_rel(schema) -> ops.Rel:
+    """The scan an UPDATE/DELETE WHERE is bound against (columns
+    qualified by the table name)."""
+    return ops.Rel(schema.name, schema.name, schema.column_names)
+
+
 class _QueryContext:
     """ExecContext implementation bound to one database + session."""
 
@@ -101,8 +107,8 @@ class _QueryContext:
         return self.db.table(name).rows()
 
     def table_handle(self, name: str) -> Table:
-        """Storage-level handle; lets the vectorized engine reach hash
-        indexes for pushdown scans."""
+        """Storage-level handle; scans choose their access path
+        (:mod:`repro.engine.access`) from it."""
         return self.db.table(name)
 
     def view_plan(
@@ -209,8 +215,9 @@ class Database:
 
         self.statistics = TableStatistics(self)
         #: execution engine used when no per-query override is given:
-        #: "row" (tuple-at-a-time oracle) or "vectorized" (columnar)
-        self.default_engine = "row"
+        #: "vectorized" (columnar, reads through repro.engine.access) or
+        #: "row" (tuple-at-a-time full-scan oracle)
+        self.default_engine = "vectorized"
         #: ReBAC subsystem (repro.rebac); set by attach_rebac
         self.rebac = None
         #: durability manager (repro.durability); None = in-memory
@@ -683,9 +690,12 @@ class Database:
         ]
         changed_columns = tuple(col for col, _ in statement.assignments)
 
+        path = access.choose(table, _dml_rel(schema), where)
         count = 0
-        for row_id, row in list(table.rows_with_ids()):
-            if where is not None and not evaluator.matches(where, row):
+        for row_id, row in path.rows_with_ids():
+            if path.residual is not None and not evaluator.matches(
+                path.residual, row
+            ):
                 continue
             new_row = list(row)
             for ordinal, expr in assignments:
@@ -725,9 +735,12 @@ class Database:
 
             where = exprs.transform(where, visit)
 
+        path = access.choose(table, _dml_rel(schema), where)
         count = 0
-        for row_id, row in list(table.rows_with_ids()):
-            if where is not None and not evaluator.matches(where, row):
+        for row_id, row in path.rows_with_ids():
+            if path.residual is not None and not evaluator.matches(
+                path.residual, row
+            ):
                 continue
             self._check_no_referencing_rows(schema.name, row)
             if mode != "open":
@@ -816,18 +829,10 @@ class Database:
             key = tuple(row[schema.column_index(c)] for c in fk.columns)
             if any(v is None for v in key):
                 continue
-            ref_table = self.table(fk.ref_table)
-            index = ref_table.find_index(fk.ref_columns)
-            if index is not None:
-                if index.lookup(key):
-                    continue
-            else:
-                ref_schema = ref_table.schema
-                ordinals = [ref_schema.column_index(c) for c in fk.ref_columns]
-                if any(
-                    tuple(r[o] for o in ordinals) == key for r in ref_table.rows()
-                ):
-                    continue
+            if access.any_row_matches(
+                self.table(fk.ref_table), dict(zip(fk.ref_columns, key))
+            ):
+                continue
             raise IntegrityError(
                 f"foreign key violation: {table_name}({', '.join(fk.columns)}) = "
                 f"{key!r} has no match in {fk.ref_table}"
@@ -840,14 +845,12 @@ class Database:
             if fk.ref_table.lower() != table_name.lower():
                 continue
             key = tuple(row[schema.column_index(c)] for c in fk.ref_columns)
-            referencing = self.table(fk.table)
-            ref_schema = referencing.schema
-            ordinals = [ref_schema.column_index(c) for c in fk.columns]
-            for other in referencing.rows():
-                if tuple(other[o] for o in ordinals) == key:
-                    raise IntegrityError(
-                        f"cannot delete from {table_name}: row referenced by {fk.table}"
-                    )
+            if access.any_row_matches(
+                self.table(fk.table), dict(zip(fk.columns, key))
+            ):
+                raise IntegrityError(
+                    f"cannot delete from {table_name}: row referenced by {fk.table}"
+                )
 
     def analyze(self) -> None:
         """Refresh optimizer statistics (row and distinct counts)."""

@@ -18,16 +18,16 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.algebra import expr as exprs
 from repro.algebra import ops
+from repro.engine import access
 from repro.engine.aggregates import make_accumulator
 from repro.engine.evaluator import Evaluator, RowResolver
-from repro.optimizer.pushdown import split_pushable_equalities
 
 
 class ExecContext(Protocol):
     """What the executor needs from its host (the Database facade).
 
     Hosts may additionally expose ``table_handle(name) -> Table`` to let
-    the vectorized engine reach hash indexes for pushdown scans; the
+    scans choose an access path (:mod:`repro.engine.access`); the
     method is optional and discovered via ``getattr``, so row-only
     contexts (tests, ad-hoc harnesses) need not provide it.
     """
@@ -126,26 +126,28 @@ class Executor:
     def _select_input(self, plan: ops.Select) -> list[tuple]:
         """Rows feeding a selection; a scan over a partitioned table is
         pruned to one shard when equality conjuncts pin the full
-        partition key.  The caller still applies the whole predicate, so
-        pruning can only skip rows the predicate would reject anyway."""
+        partition key (:func:`repro.engine.access.prune`).  The caller
+        still applies the whole predicate, so pruning can only skip rows
+        the predicate would reject anyway.  The row engine takes nothing
+        else from the access path: it is the full-scan oracle."""
         child = plan.child
         if isinstance(child, ops.Rel):
             getter = getattr(self.context, "table_handle", None)
             table = getter(child.name) if getter is not None else None
-            pruner = getattr(table, "prune_for", None)
-            if pruner is not None:
-                equalities, _ = split_pushable_equalities(plan.predicate, child)
-                if equalities:
-                    fragment = pruner({e.column: e.value for e in equalities})
-                    if fragment is not None:
-                        rows = fragment.rows()
-                        self.rows_scanned += len(rows)
-                        self.pruned_scans += 1
-                        if self.qctx is not None:
-                            self.qctx.tick(
-                                len(rows), len(rows) * max(len(child.columns), 1)
-                            )
-                        return rows
+            fragment = (
+                access.prune(table, child, plan.predicate)
+                if table is not None
+                else None
+            )
+            if fragment is not None:
+                rows = fragment.rows()
+                self.rows_scanned += len(rows)
+                self.pruned_scans += 1
+                if self.qctx is not None:
+                    self.qctx.tick(
+                        len(rows), len(rows) * max(len(child.columns), 1)
+                    )
+                return rows
         return self.execute(child)
 
     def _execute_project(self, plan: ops.Project) -> list[tuple]:

@@ -9,15 +9,18 @@ vectors:
 * predicates and projections are compiled **once per operator** into
   closures over column vectors (:mod:`repro.engine.vectorized.compile`),
   eliminating the per-row AST walk that dominates the row engine;
-* ``σ_{col = literal}(Rel)`` scans consult
-  :func:`repro.optimizer.pushdown.annotate_scan` and, when a
-  single-column :class:`repro.storage.HashIndex` exists, probe it
-  instead of scanning — ``rows_scanned`` then counts only fetched rows;
+* ``σ_predicate(Rel)`` scans read through :mod:`repro.engine.access`:
+  a hash lookup on the index whose leading columns the predicate's
+  ``col = literal`` conjuncts pin longest (full key, single column or
+  composite prefix), else the one pruned shard, else every row —
+  ``rows_scanned`` counts only fetched rows, and only the residual the
+  lookup left is compiled;
 * joins are hash joins over batches (selection-vector gather, no
   per-pair tuple concatenation until output), aggregation is hash
   aggregation reusing the row engine's accumulators.
 
-The row engine remains the semantic oracle: the differential suite
+This is the default engine (``Database.default_engine``).  The row
+engine remains the full-scan semantic oracle: the differential suite
 (tests/integration/test_differential_engines.py) asserts bag-equal
 results between the two engines on every workload and paper query.
 """
@@ -30,6 +33,7 @@ from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.algebra import expr as exprs
 from repro.algebra import ops
+from repro.engine import access
 from repro.engine.aggregates import make_accumulator
 from repro.engine.evaluator import RowResolver
 from repro.engine.executor import (
@@ -44,8 +48,11 @@ from repro.engine.vectorized.batch import (
     batches_from_rows,
     rows_from_batches,
 )
-from repro.engine.vectorized.compile import compile_scalar, selection_vector
-from repro.optimizer.pushdown import annotate_scan, split_pushable_equalities
+from repro.engine.vectorized.compile import (
+    compile_deferred,
+    compile_scalar,
+    selection_vector,
+)
 
 #: default number of rows per column batch
 BATCH_SIZE = 1024
@@ -94,10 +101,10 @@ class VectorizedExecutor:
             key = (id(expr), columns)
             fn = cache.lookup(key)
             if fn is None:
-                fn = compile_scalar(expr, RowResolver(columns))
+                fn = compile_deferred(expr, RowResolver(columns))
                 cache.store(key, fn)
             return fn
-        return compile_scalar(expr, RowResolver(columns))
+        return compile_deferred(expr, RowResolver(columns))
 
     # -- public API -------------------------------------------------------
 
@@ -151,55 +158,28 @@ class VectorizedExecutor:
     def _scan(
         self, rel: ops.Rel, predicate: Optional[ast.Expr]
     ) -> list[ColumnBatch]:
-        """Base-table scan, probing a hash index when the predicate has
-        a pushable single-column equality conjunct."""
+        """Base-table scan through the access path
+        (:func:`repro.engine.access.choose`): a hash lookup, the one
+        pruned shard, or every row; only the residual is compiled."""
         width = len(rel.schema_columns)
         table = self._table_handle(rel.name)
-
-        pruner = getattr(table, "prune_for", None)
-        if pruner is not None and predicate is not None:
-            equalities, _ = split_pushable_equalities(predicate, rel)
-            if equalities:
-                fragment = pruner({e.column: e.value for e in equalities})
-                if fragment is not None:
-                    # probe/scan logic below runs against the single
-                    # shard that can hold matching rows; the full
-                    # predicate is still applied, so this is purely a
-                    # work reduction
-                    table = fragment
-                    self.pruned_scans += 1
-
-        if table is not None and predicate is not None:
-            annotation = annotate_scan(
-                rel,
-                predicate,
-                lambda name, cols: table.find_index(cols) is not None,
-            )
-            if annotation.probe is not None:
-                index = table.find_index(annotation.probe_columns)
-                row_ids = sorted(index.lookup((annotation.probe.value,)))
-                rows = [table.get_row(rid) for rid in row_ids]
-                self.rows_scanned += len(rows)
+        if table is None:
+            rows = list(self.context.table_rows(rel.name))
+            residual = predicate
+        else:
+            path = access.choose(table, rel, predicate)
+            rows = path.rows()
+            residual = path.residual
+            if path.pruned:
+                self.pruned_scans += 1
+            if path.index is not None:
                 self.index_probes += 1
-                self._tick(len(rows), len(rows) * width)
-                batches = list(
-                    batches_from_rows(rows, width, self.batch_size)
-                )
-                if annotation.residual is None:
-                    return batches
-                return self._filter_batches(
-                    batches, annotation.residual, rel.columns
-                )
-
-        rows = list(
-            table.rows() if table is not None else self.context.table_rows(rel.name)
-        )
         self.rows_scanned += len(rows)
         self._tick(len(rows), len(rows) * width)
         batches = list(batches_from_rows(rows, width, self.batch_size))
-        if predicate is None:
+        if residual is None:
             return batches
-        return self._filter_batches(batches, predicate, rel.columns)
+        return self._filter_batches(batches, residual, rel.columns)
 
     def _view_scan(self, plan: ops.ViewRel) -> list[ColumnBatch]:
         inner = self.context.view_plan(plan.name, plan.access_args)

@@ -27,12 +27,7 @@ from repro.optimizer.expand import expand_memo
 from repro.optimizer.marking import mark_validity
 from repro.optimizer.cost import best_plan, CostModel
 from repro.optimizer.planner import VolcanoOptimizer, DagStatistics
-from repro.optimizer.pushdown import (
-    PushableEquality,
-    ScanAnnotation,
-    annotate_scan,
-    split_pushable_equalities,
-)
+from repro.optimizer.pushdown import PushableEquality, split_pushable_equalities
 
 __all__ = [
     "Memo",
@@ -45,7 +40,5 @@ __all__ = [
     "VolcanoOptimizer",
     "DagStatistics",
     "PushableEquality",
-    "ScanAnnotation",
-    "annotate_scan",
     "split_pushable_equalities",
 ]

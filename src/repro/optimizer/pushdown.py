@@ -1,18 +1,11 @@
-"""Plan annotations for index-pushable selection conjuncts.
+"""Index-pushable selection conjuncts.
 
-The vectorized batch executor (:mod:`repro.engine.vectorized`) wants to
-turn ``σ_{col = literal}(Rel)`` into a :class:`repro.storage.HashIndex`
-lookup instead of a full scan.  This module is the *analysis* half of
-that optimization, kept in the optimizer layer so both executors (and
-tests) can reason about pushability without duplicating predicate
-plumbing:
-
-* :func:`split_pushable_equalities` — partition a selection predicate
-  over a base-table scan into single-column ``col = literal`` conjuncts
-  (candidate index probes) and a residual predicate;
-* :func:`annotate_scan` — combine the split with the physical question
-  "does a single-column hash index on that column actually exist?" and
-  produce a :class:`ScanAnnotation` naming the chosen probe.
+:func:`split_pushable_equalities` partitions a selection predicate over
+a base-table scan into ``col = literal`` conjuncts (candidate index
+lookups and partition-key pins) and a residual predicate.  It is the
+analysis half of the access-path layer: :mod:`repro.engine.access`
+decides which of the equalities a hash lookup or shard pruning can
+use.
 
 Only *top-level conjuncts* qualify: pushing through OR/NOT would change
 semantics, and NULL literals never qualify (``col = NULL`` is UNKNOWN
@@ -24,7 +17,7 @@ one place, the scalar evaluator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.sql import ast
 from repro.algebra import expr as exprs
@@ -38,23 +31,6 @@ class PushableEquality:
     column: str  # schema column name, lower-cased
     value: object  # literal value (never None)
     conjunct: ast.Expr  # the original conjunct (for re-assembly)
-
-
-@dataclass(frozen=True)
-class ScanAnnotation:
-    """How to evaluate one ``Select(Rel)`` pair.
-
-    ``probe`` is the equality chosen for an index lookup (None = full
-    scan); ``residual`` is the predicate that must still be applied to
-    fetched rows — it includes every conjunct *not* consumed by the
-    probe, so applying ``residual`` after the probe is always
-    equivalent to applying the original predicate after a full scan.
-    """
-
-    rel: ops.Rel
-    probe: Optional[PushableEquality]
-    probe_columns: tuple[str, ...] = ()
-    residual: Optional[ast.Expr] = None
 
 
 def _column_of(rel: ops.Rel, ref: ast.ColumnRef) -> Optional[str]:
@@ -101,36 +77,3 @@ def _match_equality(conj: ast.Expr, rel: ops.Rel) -> Optional[PushableEquality]:
         if column is not None:
             return PushableEquality(column, lit_side.value, conj)
     return None
-
-
-def annotate_scan(
-    rel: ops.Rel,
-    predicate: Optional[ast.Expr],
-    has_index: Callable[[str, tuple[str, ...]], bool],
-) -> ScanAnnotation:
-    """Choose an index probe for ``σ_predicate(rel)``.
-
-    ``has_index(table_name, columns)`` answers whether a hash index on
-    exactly those columns exists.  Single-column probes only (the
-    executor batches equality conjuncts one at a time; multi-column
-    index selection is future work).  Among several candidates the
-    first pushable conjunct wins — with hash indexes every equality
-    probe returns the same final result, so the choice only affects
-    how much the residual filter has to discard.
-    """
-    pushable, residual = split_pushable_equalities(predicate, rel)
-    for candidate in pushable:
-        if has_index(rel.name, (candidate.column,)):
-            leftover = [
-                p.conjunct for p in pushable if p is not candidate
-            ]
-            full_residual = exprs.make_conjunction(
-                leftover + exprs.conjuncts(residual)
-            )
-            return ScanAnnotation(
-                rel=rel,
-                probe=candidate,
-                probe_columns=(candidate.column,),
-                residual=full_residual,
-            )
-    return ScanAnnotation(rel=rel, probe=None, residual=predicate)

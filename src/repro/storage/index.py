@@ -4,12 +4,17 @@ An index maps a tuple of column values to the multiset of row ids
 holding those values.  Unique indexes additionally enforce that at most
 one *live* row carries each key (rows containing NULL in any indexed
 column are exempt, matching SQL UNIQUE semantics).
+
+A composite index on ``(c1, ..., cn)`` also keeps one bucket map per
+proper prefix ``(c1, ..., ck)``, maintained by the same insert/delete
+calls as the full-key map, so a selection pinning only the leading
+columns is still a hash lookup (:meth:`HashIndex.lookup_prefix`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import IntegrityError
 
@@ -23,6 +28,11 @@ class HashIndex:
         self.column_names = column_names
         self.unique = unique
         self._buckets: dict[tuple, set[int]] = defaultdict(set)
+        #: ``_prefix_buckets[k - 1]`` maps the first ``k`` key values to
+        #: row ids, for every proper prefix length ``k``
+        self._prefix_buckets: list[dict[tuple, set[int]]] = [
+            defaultdict(set) for _ in range(len(columns) - 1)
+        ]
 
     def key_of(self, row: tuple) -> tuple:
         return tuple(row[i] for i in self.columns)
@@ -38,19 +48,28 @@ class HashIndex:
                 f"duplicate key {key!r} for unique index on {self.table_name}({cols})"
             )
         self._buckets[key].add(row_id)
+        for width, buckets in enumerate(self._prefix_buckets, start=1):
+            buckets[key[:width]].add(row_id)
 
     def delete(self, row_id: int, row: tuple) -> None:
         key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.discard(row_id)
-            if not bucket:
-                del self._buckets[key]
+        _discard(self._buckets, key, row_id)
+        for width, buckets in enumerate(self._prefix_buckets, start=1):
+            _discard(buckets, key[:width], row_id)
 
     def lookup(self, key: tuple) -> frozenset[int]:
         if self._has_null(key):
             return frozenset()
         return frozenset(self._buckets.get(key, ()))
+
+    def lookup_prefix(self, values: tuple) -> frozenset[int]:
+        """Row ids whose first ``len(values)`` key columns equal
+        ``values`` (``1 <= len(values)``; all columns = :meth:`lookup`)."""
+        if len(values) == len(self.columns):
+            return self.lookup(values)
+        if self._has_null(values):
+            return frozenset()
+        return frozenset(self._prefix_buckets[len(values) - 1].get(values, ()))
 
     def would_violate(self, row: tuple, ignore_row_id: Optional[int] = None) -> bool:
         """True if inserting ``row`` would break uniqueness."""
@@ -65,3 +84,11 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
+
+
+def _discard(buckets: dict[tuple, set[int]], key: tuple, row_id: int) -> None:
+    bucket = buckets.get(key)
+    if bucket is not None:
+        bucket.discard(row_id)
+        if not bucket:
+            del buckets[key]

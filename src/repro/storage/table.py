@@ -64,6 +64,10 @@ class Table:
             self.on_mutate("index", names, unique)
         return index
 
+    def indexes(self) -> tuple[HashIndex, ...]:
+        """Every index, in creation order."""
+        return tuple(self._indexes)
+
     def find_index(self, columns: Iterable[str]) -> Optional[HashIndex]:
         wanted = tuple(self.schema.column_index(c) for c in columns)
         for index in self._indexes:

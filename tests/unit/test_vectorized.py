@@ -17,7 +17,8 @@ from repro.engine.vectorized import (
 from repro.errors import ExecutionError, TypeError_
 from repro.sql import ast
 from repro.sql.parser import Parser
-from repro.optimizer import annotate_scan, split_pushable_equalities
+from repro.engine import access
+from repro.optimizer import split_pushable_equalities
 
 
 def pred(text: str) -> ast.Expr:
@@ -148,30 +149,92 @@ class TestPushdownAnalysis:
         pushable, _ = split_pushable_equalities(pred("u.id = 1"), REL)
         assert pushable == []
 
-    def test_annotate_picks_indexed_column(self):
-        annotation = annotate_scan(
+
+def table_with_indexes(*indexes):
+    """An empty ``T(id int, grp text, val float)`` with the given
+    (columns, unique) indexes, in creation order."""
+    from repro.catalog.schema import Column, TableSchema
+    from repro.catalog.types import DataType
+    from repro.storage import Table
+
+    table = Table(
+        TableSchema(
+            "T",
+            (
+                Column("id", DataType.INT),
+                Column("grp", DataType.TEXT),
+                Column("val", DataType.FLOAT),
+            ),
+        )
+    )
+    for columns, unique in indexes:
+        table.create_index(columns, unique=unique)
+    return table
+
+
+class TestAccessPathChooser:
+    """:func:`repro.engine.access.choose` — which lookup a scan takes and
+    which residual is left (the first three cases are the former
+    single-column ``annotate_scan`` inputs)."""
+
+    def test_picks_indexed_column(self):
+        path = access.choose(
+            table_with_indexes((("id",), False)),
             REL,
             pred("grp = 'a' and id = 7 and val > 2.0"),
-            lambda name, cols: cols == ("id",),
         )
-        assert annotation.probe is not None
-        assert annotation.probe_columns == ("id",)
-        assert annotation.probe.value == 7
-        # unchosen pushable folded back in front of the residual
-        assert annotation.residual == pred("grp = 'a' and val > 2.0")
+        assert path.index is not None
+        assert path.index.column_names == ("id",)
+        assert path.key == (7,)
+        # the unconsumed equality stays in front of the residual
+        assert path.residual == pred("grp = 'a' and val > 2.0")
 
-    def test_annotate_without_index_full_scans(self):
+    def test_without_index_full_scans(self):
         predicate = pred("id = 7")
-        annotation = annotate_scan(REL, predicate, lambda name, cols: False)
-        assert annotation.probe is None
-        assert annotation.residual == predicate
+        path = access.choose(table_with_indexes(), REL, predicate)
+        assert path.index is None
+        assert path.residual == predicate
 
-    def test_probe_consuming_whole_predicate_leaves_no_residual(self):
-        annotation = annotate_scan(
-            REL, pred("id = 7"), lambda name, cols: cols == ("id",)
+    def test_lookup_consuming_whole_predicate_leaves_no_residual(self):
+        path = access.choose(
+            table_with_indexes((("id",), False)), REL, pred("id = 7")
         )
-        assert annotation.probe is not None
-        assert annotation.residual is None
+        assert path.index is not None
+        assert path.residual is None
+
+    def test_composite_prefix_is_a_lookup(self):
+        path = access.choose(
+            table_with_indexes((("grp", "id"), True)),
+            REL,
+            pred("val > 2.0 and grp = 'a'"),
+        )
+        assert path.index.column_names == ("grp", "id")
+        assert path.key == ("a",)
+        assert path.residual == pred("val > 2.0")
+
+    def test_longest_pinned_prefix_wins(self):
+        table = table_with_indexes((("grp",), False), (("grp", "id"), True))
+        path = access.choose(table, REL, pred("id = 7 and grp = 'a'"))
+        assert path.index.column_names == ("grp", "id")
+        assert path.key == ("a", 7)
+        assert path.residual is None
+
+    def test_unpinned_leading_column_blocks_the_index(self):
+        path = access.choose(
+            table_with_indexes((("grp", "id"), True)), REL, pred("id = 7")
+        )
+        assert path.index is None
+
+    def test_mistyped_literal_pins_nothing(self):
+        table = table_with_indexes((("id",), True), (("grp",), False))
+        for text in ("id = 'seven'", "id = true", "grp = 10"):
+            path = access.choose(table, REL, pred(text))
+            assert path.index is None, text
+            assert path.residual == pred(text)
+
+    def test_float_literal_pins_int_column(self):
+        table = table_with_indexes((("id",), True))
+        assert access.choose(table, REL, pred("id = 7.0")).key == (7.0,)
 
 
 # -- executor over small batches ---------------------------------------
