@@ -58,6 +58,12 @@ class GrantRegistry:
         #: successful state change, so registry mutations reach the WAL
         #: no matter which API performed them
         self.on_change: Optional[Callable[[str, dict], None]] = None
+        #: taken before ``_lock`` by every grant and revoke.  A log that
+        #: reads the registry while holding its own lock (a cluster's
+        #: digests and bootstrap snapshots) installs that lock here, so
+        #: a mutation logging through ``on_change`` and a reader take
+        #: the two locks in the same order and cannot deadlock
+        self.write_lock = threading.RLock()
 
     @property
     def version(self) -> int:
@@ -116,7 +122,7 @@ class GrantRegistry:
         view = view_name.lower()
         who = grantee.lower()
         giver = (grantor or _DBA).lower()
-        with self._lock:
+        with self.write_lock, self._lock:
             if giver != _DBA and not self.has_grant_option(view_name, giver):
                 raise GrantError(
                     f"{grantor!r} cannot delegate {view_name!r}: no grant option"
@@ -157,7 +163,7 @@ class GrantRegistry:
         view = view_name.lower()
         who = grantee.lower()
         giver = None if grantor is None else grantor.lower()
-        with self._lock:
+        with self.write_lock, self._lock:
             doomed = [
                 r
                 for r in self._records

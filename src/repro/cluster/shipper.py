@@ -259,6 +259,8 @@ class ClusterWal:
         for table in db._tables.values():
             self.register_table(table)
         db.grants.on_change = self._registry_change
+        # grants log under this lock and digests read grants under it
+        db.grants.write_lock = self._lock
         db.vpd_policies.on_change = self._vpd_change
 
     # -- durable backing ---------------------------------------------------

@@ -456,6 +456,30 @@ class TestFlappingStorm:
             assert content_digests(db) == content_digests(replica.database)
 
 
+class TestPolicyLockOrder:
+    def test_grant_and_digest_under_log_lock_do_not_deadlock(self):
+        """A grant logs through the cluster log while a digest reads the
+        grants under the log's lock (rejoin verification, bootstrap);
+        both must take the log lock first, or each waits on the other."""
+        db = cluster_db(replicas=1)
+        wal = db.durability
+        granter = threading.Thread(
+            target=db.grant, args=("MyGrades", "12"), daemon=True
+        )
+        reader = threading.Thread(
+            target=content_digests, args=(db,), daemon=True
+        )
+        with wal._lock:
+            granter.start()
+            time.sleep(0.05)  # let the grant reach its first lock
+            reader.start()
+            reader.join(timeout=5)
+            assert not reader.is_alive()  # digest did not block on the grant
+        granter.join(timeout=5)
+        assert not granter.is_alive()
+        assert db.grants.is_granted("MyGrades", "12")
+
+
 # -- cluster-wide crash recovery ---------------------------------------------
 
 SEED_OPS = [
