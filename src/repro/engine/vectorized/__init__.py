@@ -1,17 +1,18 @@
 """repro.engine.vectorized — columnar batch execution.
 
-A drop-in alternative to the tuple-at-a-time row engine: the same
-logical :mod:`repro.algebra.ops` plans, evaluated over column-vector
-batches with per-operator compiled predicates/projections, hash
-joins/aggregation over batches, and index-aware base-table scans that
-push single-column equality conjuncts into
-:class:`repro.storage.HashIndex` lookups.
+The default engine (``Database.default_engine``): the same logical
+:mod:`repro.algebra.ops` plans as the tuple-at-a-time row engine,
+evaluated over column-vector batches with per-operator compiled
+predicates/projections, hash joins/aggregation over batches, and
+base-table scans that read through :mod:`repro.engine.access` (hash
+lookups on full keys, single columns or composite prefixes, shard
+pruning).
 
-Select it per query (``engine="vectorized"``) through
-:meth:`repro.db.Database.execute_query`,
+Choose an engine per query (``engine="row"`` or ``"vectorized"``)
+through :meth:`repro.db.Database.execute_query`,
 :meth:`repro.db.Connection.query`, or a gateway
-:class:`~repro.service.QueryRequest`; the row engine stays the default
-and the semantic oracle (see the differential suite).
+:class:`~repro.service.QueryRequest`; the row engine is the full-scan
+semantic oracle (see the differential suite).
 """
 
 from repro.engine.vectorized.batch import (

@@ -4,16 +4,19 @@ A seeded stdlib-``random`` generator produces *type-correct* expression
 ASTs over a small row schema (numeric / string / boolean sorts, depth
 bounded).  Type-directed generation keeps every expression error-free —
 comparisons stay same-sorted, arithmetic avoids ``/`` and ``%``, NOT
-applies only to booleans — which matters because the row engine
-short-circuits AND/OR/CASE while the vectorized engine evaluates
-eagerly: on error-free expressions the two are provably value-equal.
+applies only to booleans.  A second generator lets errors in (division
+and modulo by zero, mixed-sort comparisons, erroring IN items) to pin
+that the vectorized engine short-circuits AND/OR/CASE/IN like the row
+engine.
 
-Three properties, all deterministic (fixed seeds):
+Properties, all deterministic (fixed seeds):
 
 1. ``parse(render(ast)) == ast`` — the renderer emits exactly the text
    the parser maps back to the same tree (unary minus on literals is
    excluded: the parser constant-folds ``- 3`` to ``Literal(-3)``).
-2. Both engines agree scalar-for-scalar on NULL-laden random rows.
+2. Both engines agree scalar-for-scalar on NULL-laden random rows, and
+   on expressions that can raise, a batch raises exactly when some row
+   raises on the row engine, and a one-row batch raises the same error.
 3. The Kleene AND/OR/NOT truth tables, pinned exhaustively.
 """
 
@@ -209,6 +212,69 @@ def test_engines_agree_on_random_rows(seed):
             f"row {rows[i]} of expr {render(expr)}: "
             f"row engine {row_value!r} vs vectorized {vec_value!r}"
         )
+
+
+class RaisingExprGen(ExprGen):
+    """:class:`ExprGen` plus sub-expressions that raise on some rows:
+    ``/`` and ``%`` (zero divisors), mixed-sort comparisons, and IN
+    lists whose items may raise."""
+
+    def num(self, depth: int) -> ast.Expr:
+        if depth > 0 and self.rng.random() < 0.25:
+            op = self.rng.choice(["/", "%"])
+            return ast.BinaryOp(op, self.num(depth - 1), self.num(depth - 1))
+        return super().num(depth)
+
+    def boolean(self, depth: int) -> ast.Expr:
+        if depth > 0 and self.rng.random() < 0.15:
+            items = tuple(self.num(1) for _ in range(self.rng.randint(1, 3)))
+            return ast.InList(
+                self.num(depth - 1), items, negated=self.rng.random() < 0.3
+            )
+        return super().boolean(depth)
+
+    def _bool_leaf(self) -> ast.Expr:
+        if self.rng.random() < 0.1:
+            op = self.rng.choice(["=", "<"])
+            return ast.BinaryOp(op, self.num(0), self.text(0))
+        return super()._bool_leaf()
+
+
+def _row_outcome(evaluator: Evaluator, expr: ast.Expr, row: tuple):
+    try:
+        return ("ok", evaluator.evaluate(expr, row))
+    except Exception as exc:  # noqa: BLE001 - the error *is* the outcome
+        return ("raised", type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_engines_raise_alike_on_random_rows(seed):
+    gen = RaisingExprGen(seed * 11 + 3)
+    expr = gen.expr(("bool", "num")[seed % 2], depth=4)
+    rows = _random_rows(random.Random(seed * 17 + 2), 37)
+    evaluator = Evaluator(RESOLVER)
+    compiled = compile_scalar(expr, RESOLVER)
+    expected = [_row_outcome(evaluator, expr, row) for row in rows]
+
+    for row, want in zip(rows, expected):
+        try:
+            (value,) = compiled(ColumnBatch.from_rows([row], width=4))
+            got = ("ok", value)
+        except Exception as exc:  # noqa: BLE001
+            got = ("raised", type(exc).__name__, str(exc))
+        assert got[0] == want[0] and (
+            _same_scalar(got[1], want[1]) if got[0] == "ok" else got == want
+        ), f"row {row} of expr {render(expr)}: row engine {want!r} vs {got!r}"
+
+    raising = {o[1] for o in expected if o[0] == "raised"}
+    try:
+        actual = compiled(ColumnBatch.from_rows(rows, width=4))
+    except Exception as exc:  # noqa: BLE001
+        assert type(exc).__name__ in raising, f"{render(expr)} raised {exc!r}"
+        return
+    assert not raising, f"{render(expr)}: rows raise {raising}, batch did not"
+    for want, value in zip(expected, actual):
+        assert _same_scalar(want[1], value), render(expr)
 
 
 # -- property 3: Kleene truth tables, pinned exhaustively --------------
